@@ -19,11 +19,11 @@ from . import pipeline
 from .checkpoint import load_checkpoint
 from .config import (ExperimentConfig, load_config, make_config, save_config,
                      RETRIEVAL_MODES)
-from .errors import ConfigError, FormatError, UsageError
+from .errors import (ConfigError, FormatError, GenerationError, IntegrityError,
+                     TrainingError, UsageError)
 from .evaluation import evaluate_checkpoints, write_report
 from .policy import train_phase2
-from .retrieval import (build_retrieval_set, embed_samples, min_target_distances,
-                        retrieval_report)
+from .retrieval import build_retrieval_set, embed_samples, retrieval_report
 from .seeding import stream
 from .skill import model_from_checkpoint, pretrain
 
@@ -128,9 +128,7 @@ def cmd_retrieve(args) -> int:
                                stream(seed, "phase2", "embed_target"))
     rset = build_retrieval_set(prior_set, target_set, rcfg.mode, rcfg.fraction,
                                rng=stream(seed, "phase2", "retrieval"))
-    d_min = (min_target_distances(prior_set, target_set, metric=rcfg.mode)
-             if rcfg.mode in ("l2", "kl") else None)
-    report = retrieval_report(rset, len(prior_set), len(target_set), d_min)
+    report = retrieval_report(rset, len(prior_set), len(target_set))
     write_report(report, args.out / "retrieval_report.json")
     print(f"retrieved {report['num_selected']} of {report['num_prior']} "
           f"prior windows (mode={rcfg.mode}, r={rcfg.fraction})")
@@ -232,7 +230,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, UsageError, FormatError) as e:
+    except (ConfigError, UsageError, FormatError, GenerationError, TrainingError,
+            IntegrityError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

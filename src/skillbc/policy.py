@@ -26,7 +26,7 @@ from .errors import ConfigError, UsageError
 from .nn import LSTM, MLP, load_params, params_dict
 from .optim import Adam
 from .retrieval import (build_retrieval_dataset, build_retrieval_set,
-                        embed_samples, min_target_distances, retrieval_report)
+                        embed_samples, retrieval_report)
 from .seeding import stream
 from .skill import (SkillModel, model_from_checkpoint, sample_pair_batch,
                     skill_loss)
@@ -207,10 +207,7 @@ def train_phase2(cfg: ExperimentConfig, prior_dataset: TrajectoryDataset,
                                    rng=stream(seed, "phase2", "retrieval"))
         pairs = build_retrieval_dataset(norm_prior, rset, cfg.frame_stack)
         retrieval_entries = [PolicyEntry(frames, z, 1) for frames, z in pairs]
-        d_min = None
-        if rcfg.mode in ("l2", "kl"):
-            d_min = min_target_distances(prior_set, target_set, metric=rcfg.mode)
-        report = retrieval_report(rset, len(prior_set), len(target_set), d_min)
+        report = retrieval_report(rset, len(prior_set), len(target_set))
         with open(out_dir / "retrieval_report.json", "w", encoding="utf-8") as f:
             json.dump(report, f, indent=2, sort_keys=True)
             f.write("\n")

@@ -4,12 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from skillbc import env, pipeline
 from skillbc.cli import main
 from skillbc.config import (ExperimentConfig, load_config, make_config,
                             save_config)
 from skillbc.data import load_dataset
 from skillbc.env import get_task
-from skillbc.errors import ConfigError
+from skillbc.errors import ConfigError, GenerationError
 
 
 def run_cli(*argv):
@@ -129,6 +130,20 @@ def test_gen_data_refuses_overwrite_without_force(tmp_path):
                    "--out", tmp_path / "d") == 2
     assert run_cli("gen-data", "--config", tmp_path / "c.json",
                    "--out", tmp_path / "d", "--force") == 0
+
+
+def test_gen_data_generation_error_exits_2(tmp_path, monkeypatch, capsys):
+    def failing_demo(task, rng, traj_id=0):
+        raise GenerationError(f"demo script failed for {task.name!r} after 200 steps")
+    # patch the defining module and the name gen-data imported from it
+    monkeypatch.setattr(env, "scripted_demo", failing_demo)
+    monkeypatch.setattr(pipeline, "scripted_demo", failing_demo)
+    write_tiny_config(tmp_path / "c.json")
+    assert run_cli("gen-data", "--config", tmp_path / "c.json",
+                   "--out", tmp_path / "d") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: demo script failed for 'setting_up'")
+    assert "Traceback" not in err
 
 
 # -- full tiny pipeline through the CLI ------------------------------------------------

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
-from skillbc.config import make_config
-from skillbc.data import TrajectoryDataset, Trajectory, extract_frame_stack
+from skillbc import retrieval
+from skillbc.cli import main
+from skillbc.config import make_config, save_config
+from skillbc.data import TrajectoryDataset, Trajectory, extract_frame_stack, write_dataset
 from skillbc.errors import IntegrityError, UsageError
-from skillbc.gaussian import kl_numpy
-from skillbc.retrieval import (EmbeddingSet, RetrievalSet, build_retrieval_dataset,
-                               build_retrieval_set, embed_samples,
-                               min_target_distances, pairwise_l2,
+from skillbc.gaussian import LOG_STD_MAX, LOG_STD_MIN, kl_numpy
+from skillbc.policy import train_phase2
+from skillbc.retrieval import (CHUNK_ROWS, EmbeddingSet, RetrievalSet,
+                               build_retrieval_dataset, build_retrieval_set,
+                               embed_samples, min_target_distances, pairwise_l2,
                                pairwise_symmetric_kl, retrieval_report,
                                retrieve_top, retrieve_top_from_min,
                                symmetric_kl_distance)
-from skillbc.skill import SkillModel
+from skillbc.skill import SkillModel, pretrain
 
 
 def _embedding_set(means, log_stds=None, origin="prior"):
@@ -97,6 +100,118 @@ def test_min_target_distances_streaming_matches_full_matrix():
     full = pairwise_l2(prior.means, target.means).min(axis=1)
     streamed = min_target_distances(prior, target, "l2", chunk=7)
     assert np.array_equal(full, streamed)
+
+
+# -- screened kernel: exact against the difference-form oracles ---------------------
+
+
+def _hard_case(kind, rng, N=45, M=13, d=9):
+    """(prior, target) embedding sets built to stress the GEMM screen."""
+    pm, tm = rng.standard_normal((N, d)), rng.standard_normal((M, d))
+    ps, ts = rng.uniform(-1, 1, (N, d)), rng.uniform(-1, 1, (M, d))
+    if kind == "duplicates":      # every prior row repeats a target row exactly
+        pick = rng.integers(0, M, N)
+        pm, ps = tm[pick].copy(), ts[pick].copy()
+    elif kind == "near_ties":     # targets within 1e-13 of each other, off-origin
+        tm = 50.0 + tm[:1] + 1e-13 * rng.standard_normal((M, d))
+        ts = np.repeat(ts[:1], M, axis=0)
+        pm = tm[:1] + rng.standard_normal((N, d))
+    elif kind == "clamped":       # log_std at both clamp values
+        ps = rng.choice([LOG_STD_MIN, LOG_STD_MAX], (N, d))
+        ts = rng.choice([LOG_STD_MIN, LOG_STD_MAX], (M, d))
+    elif kind == "offset":        # large common offset, small differences
+        pm, tm = pm + 5e3, tm + 5e3
+    elif kind == "single":
+        pm, ps, tm, ts = pm[:1], ps[:1], tm[:1], ts[:1]
+    return (_embedding_set(pm, ps),
+            _embedding_set(tm, ts, origin="target"))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, CHUNK_ROWS, 1000])
+@pytest.mark.parametrize("kind", ["random", "duplicates", "near_ties", "clamped",
+                                  "offset", "single"])
+def test_min_target_distances_equals_oracle_row_minima(kind, chunk):
+    rng = np.random.default_rng(11)
+    for d in (1, 3, 9, 64):
+        prior, target = _hard_case(kind, rng, d=d)
+        l2 = pairwise_l2(prior.means, target.means).min(axis=1)
+        kl = pairwise_symmetric_kl(prior, target).min(axis=1)
+        assert np.array_equal(min_target_distances(prior, target, "l2", chunk=chunk), l2)
+        assert np.array_equal(min_target_distances(prior, target, "kl", chunk=chunk), kl)
+
+
+def test_min_target_distances_input_contract():
+    rng = np.random.default_rng(12)
+    prior = _embedding_set(rng.standard_normal((5, 3)))
+    target = _embedding_set(rng.standard_normal((4, 3)), origin="target")
+    empty = _embedding_set(np.zeros((0, 3)), origin="target")
+    narrow = _embedding_set(rng.standard_normal((4, 2)), origin="target")
+    nan_mean = _embedding_set(np.where(np.eye(5, 3) > 0, np.nan, 0.0))
+    inf_std = _embedding_set(np.zeros((4, 3)), np.full((4, 3), np.inf), origin="target")
+    for metric in ("l2", "kl"):
+        with pytest.raises(UsageError, match="non-empty embedding sets"):
+            min_target_distances(prior, empty, metric)
+        with pytest.raises(UsageError, match="non-empty embedding sets"):
+            min_target_distances(empty, target, metric)
+        with pytest.raises(UsageError, match="latent dimensions differ"):
+            min_target_distances(prior, narrow, metric)
+        with pytest.raises(UsageError, match="prior embeddings contain non-finite"):
+            min_target_distances(nan_mean, target, metric)
+        with pytest.raises(UsageError, match="target embeddings contain non-finite"):
+            min_target_distances(prior, inf_std, metric)
+    with pytest.raises(UsageError, match="unknown retrieval metric"):
+        min_target_distances(prior, target, "cosine")
+
+
+# -- distances are computed once per run --------------------------------------------
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = retrieval.min_target_distances
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("metric", args[2] if len(args) > 2 else None))
+        return kernel(*args, **kwargs)
+    monkeypatch.setattr(retrieval, "min_target_distances", counted)
+    return calls
+
+
+def _phase2_inputs(tmp_path):
+    cfg = make_config("desk", latent_dim=3, lstm_hidden=6, lstm_layers=1,
+                      mlp_hidden=(6,), tp_hidden=(6,), horizon=4, frame_stack=3,
+                      batch_size=4, pretrain_steps=2, phase2_steps=2, log_interval=1,
+                      pretrain_checkpoint_interval=2, phase2_checkpoint_interval=2,
+                      retrieval=dict(mode="l2", fraction=0.5, num_prior=30,
+                                     num_target=8))
+    rng = np.random.default_rng(13)
+    prior, target = [
+        TrajectoryDataset([Trajectory(rng.standard_normal((21, 5)),
+                                      rng.standard_normal((20, 2)), i)
+                           for i in range(n)], role, 5, 2)
+        for n, role in ((3, "prior"), (2, "target"))]
+    ckpt = pretrain(cfg, prior, tmp_path / "pre").checkpoint
+    return cfg, prior, target, ckpt
+
+
+def test_train_phase2_computes_distances_once(tmp_path, monkeypatch):
+    cfg, prior, target, ckpt = _phase2_inputs(tmp_path)
+    calls = _count_kernel_calls(monkeypatch)
+    result = train_phase2(cfg, prior, target, ckpt, tmp_path / "p2")
+    assert calls == ["l2"]
+    assert result.retrieval_report["all_distance_quantiles"] is not None
+
+
+def test_cmd_retrieve_computes_distances_once(tmp_path, monkeypatch):
+    cfg, prior, target, ckpt = _phase2_inputs(tmp_path)
+    write_dataset(prior, tmp_path / "prior")
+    write_dataset(target, tmp_path / "target")
+    save_config(cfg, tmp_path / "config.json")
+    calls = _count_kernel_calls(monkeypatch)
+    assert main(["retrieve", "--config", str(tmp_path / "config.json"),
+                 "--prior", str(tmp_path / "prior"), "--target", str(tmp_path / "target"),
+                 "--skill-ckpt", str(ckpt), "--out", str(tmp_path / "ret")]) == 0
+    assert calls == ["l2"]
 
 
 # -- ranking ------------------------------------------------------------------------
@@ -304,7 +419,9 @@ def test_retrieval_report_shape():
     target_set = embed_samples(model, ds, 4, np.random.default_rng(8))
     d_min = min_target_distances(prior_set, target_set, "l2")
     rset = build_retrieval_set(prior_set, target_set, "l2", 0.2)
-    report = retrieval_report(rset, len(prior_set), len(target_set), d_min)
+    assert np.array_equal(rset.d_min, d_min)
+    report = retrieval_report(rset, len(prior_set), len(target_set))
+    assert report["all_distance_quantiles"]["50"] == float(np.percentile(d_min, 50))
     assert report["mode"] == "l2"
     assert report["num_selected"] == len(rset)
     assert set(report["selected_distance_quantiles"]) == {"0", "25", "50", "75", "100"}
